@@ -26,7 +26,6 @@ func main() {
 	cores := flag.Int("cores", 5400, "manycore SoC size for compile experiments")
 	simEngine := flag.String("simengine", "compiled", "simulation engine: compiled|interp")
 	simFull := flag.Bool("simfull", false, "disable dirty-set incremental settling (debug escape hatch)")
-	simShards := flag.Int("simshards", 1, "goroutine shards for cone-parallel settling (>1 enables)")
 	flag.Parse()
 
 	switch *simEngine {
@@ -39,7 +38,6 @@ func main() {
 		os.Exit(2)
 	}
 	sim.DefaultOptions.FullSettle = *simFull
-	sim.DefaultOptions.Shards = *simShards
 
 	experiments := map[string]func(int) error{
 		"table1":     table1,

@@ -399,6 +399,11 @@ func (c *Client) call(req *wire.Request) (*wire.Response, error) {
 // On an op-level failure the response is returned alongside the error,
 // so callers can pick partial-batch values out of it.
 func (c *Client) callCtx(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	// A context cancelled before the call sends nothing: left to the
+	// select below, a fast reply would race the cancellation.
+	if err := ctx.Err(); err != nil {
+		return nil, wire.Errf(wire.CodeCancelled, "client: %s cancelled: %v", req.Op, err)
+	}
 	c.mu.Lock()
 	if c.closed {
 		err := c.err

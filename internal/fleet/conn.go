@@ -2,267 +2,51 @@ package fleet
 
 import (
 	"context"
-	"errors"
-	"io"
-	"net"
 	"sync"
 	"time"
 
+	"zoomie/internal/front"
 	"zoomie/internal/wire"
 )
 
-// fconn is one client connection to the coordinator. It mirrors the
-// daemon's connection machinery — same handshake, same codec upgrade,
-// same outbox/write-loop split — so every existing client (the REPL,
+// fconn is the coordinator's side of one client connection. The front
+// end it shares with the daemon does the handshake, codec upgrade,
+// version gates and stream plumbing, so every existing client (the REPL,
 // internal/client, zbench) speaks to the fleet without knowing it.
 type fconn struct {
-	co  *Coordinator
-	c   net.Conn
-	out chan *wire.Message
-	wmu sync.Mutex
-
-	enc *wire.Encoder
-	dec *wire.Decoder
-
-	version int
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	dead   chan struct{}
-	once   sync.Once
-
-	subMu  sync.Mutex
-	subs   map[uint64]bool
-	subAll bool
-
-	streamMu   sync.Mutex
-	streams    map[uint64]*fstream
-	nextStream uint64
+	*front.Conn
+	co *Coordinator
 }
 
-func newFconn(co *Coordinator, c net.Conn) *fconn {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &fconn{
-		co:  co,
-		c:   c,
-		out: make(chan *wire.Message, 256),
-		// Hello is always JSON; handshake upgrades v3 connections.
-		enc:     wire.NewEncoder(c, 1),
-		dec:     wire.NewDecoder(c, 1),
-		ctx:     ctx,
-		cancel:  cancel,
-		dead:    make(chan struct{}),
-		subs:    make(map[uint64]bool),
-		streams: make(map[uint64]*fstream),
-	}
-}
-
-func (c *fconn) markDead() {
-	c.once.Do(func() {
-		c.cancel()
-		close(c.dead)
-		c.c.Close()
-		c.closeStreams()
-	})
-}
-
-func (c *fconn) send(m *wire.Message) {
-	select {
-	case c.out <- m:
-	case <-c.dead:
-	}
-}
-
-func (c *fconn) subscribe(sid uint64) {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	if sid == 0 {
-		c.subAll = true
-		return
-	}
-	c.subs[sid] = true
-}
-
-func (c *fconn) wants(sid uint64) bool {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	return c.subAll || sid == 0 || c.subs[sid]
-}
-
-func (c *fconn) writeLoop() {
-	defer c.co.wg.Done()
-	for {
-		select {
-		case <-c.dead:
-			return
-		case m := <-c.out:
-			if err := c.writeBurst(m); err != nil {
-				c.markDead()
-				return
-			}
-		}
-	}
-}
-
-func (c *fconn) writeBurst(m *wire.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	err := c.enc.Queue(m)
-	for err == nil {
-		select {
-		case next := <-c.out:
-			err = c.enc.Queue(next)
-		default:
-			_, ferr := c.enc.Flush()
-			return ferr
-		}
-	}
-	return err
-}
-
-func (c *fconn) writeNow(m *wire.Message) error {
-	c.wmu.Lock()
-	err := c.enc.Queue(m)
-	if err == nil {
-		_, err = c.enc.Flush()
-	}
-	c.wmu.Unlock()
-	return err
-}
-
-func (c *fconn) readLoop() {
-	defer c.co.wg.Done()
-	defer func() {
-		c.markDead()
-		c.co.mu.Lock()
-		delete(c.co.conns, c)
-		c.co.mu.Unlock()
-	}()
-
-	if !c.handshake() {
-		return
-	}
-	for {
-		m, _, err := c.dec.Next()
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				c.co.cfg.Logf("zfleet: read error: %v", err)
-			}
-			return
-		}
-		if m.T != wire.TReq {
-			c.send(wire.Resp(&wire.Response{
-				Err: wire.Errf(wire.CodeBadRequest, "clients send requests, got %q", m.T)}))
-			continue
-		}
-		c.dispatch(m.Req)
-	}
-}
-
-// handshake performs the identical hello exchange a daemon would, so
-// version negotiation (and the post-hello binary upgrade) behave the
-// same whether a client dials a daemon or the fleet.
-func (c *fconn) handshake() bool {
-	m, _, err := wire.ReadMessage(c.c)
-	if err != nil {
-		return false
-	}
-	if m.T != wire.TReq || m.Req.Op != wire.OpHello {
-		c.writeNow(wire.Resp(&wire.Response{
-			Err: wire.Errf(wire.CodeBadRequest, "first frame must be %q", wire.OpHello)}))
-		return false
-	}
-	if m.Req.Version < wire.MinVersion {
-		c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID,
-			Err: wire.Errf(wire.CodeVersion, "protocol version %d, server speaks %d..%d",
-				m.Req.Version, wire.MinVersion, wire.Version)}))
-		return false
-	}
-	c.version = wire.Version
-	if m.Req.Version < c.version {
-		c.version = m.Req.Version
-	}
-	cid := m.Req.Client
-	if cid == 0 {
-		c.co.mu.Lock()
-		c.co.nextCID++
-		cid = c.co.nextCID
-		c.co.mu.Unlock()
-	}
-	c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID, Version: c.version, Client: cid}))
-	if c.version >= 3 {
-		c.wmu.Lock()
-		c.enc.SetVersion(c.version)
-		c.wmu.Unlock()
-		c.dec.SetVersion(c.version)
-	}
-	return true
-}
-
-// dispatch routes one request: fleet-level ops run inline on the read
-// loop, session ops are enqueued on the owning session actor.
-func (c *fconn) dispatch(req *wire.Request) {
+// Handle serves fleet-level ops inline on the read loop and enqueues
+// session ops on the owning session actor.
+func (c *fconn) Handle(req *wire.Request) *wire.Response {
 	switch req.Op {
-	case wire.OpHello:
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Version: c.version}))
 	case wire.OpAttach:
-		c.send(wire.Resp(c.attach(req, nil)))
+		return c.attach(req, nil)
 	case wire.OpStateImport:
-		if c.version < 3 {
-			c.unknownOp(req)
-			return
-		}
-		c.send(wire.Resp(c.attach(req, req.Signals)))
+		return c.attach(req, req.Signals)
 	case wire.OpStatus:
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Stats: c.co.Stats()}))
-	case wire.OpSubscribe:
-		c.subscribe(req.Session)
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Session: req.Session}))
+		return &wire.Response{ID: req.ID, Stats: c.co.Stats()}
 	case wire.OpFleetStat:
-		c.send(wire.Resp(&wire.Response{ID: req.ID,
-			Lines: c.co.fleetStatLines(), Stats: c.co.Stats()}))
+		return &wire.Response{ID: req.ID, Lines: c.co.fleetStatLines(), Stats: c.co.Stats()}
 	case wire.OpFleetDrain:
-		c.send(wire.Resp(c.drain(req)))
-	case wire.OpStreamOpen, wire.OpStreamCredit, wire.OpStreamClose:
-		if c.version < 3 {
-			c.unknownOp(req)
-			return
-		}
-		c.send(wire.Resp(c.handleStream(req)))
-	default:
-		// Mirror the daemon's version gates so a coordinator answers a
-		// downlevel client exactly as a daemon of that version would.
-		if c.version < 2 && (req.Op == wire.OpPeekBatch || req.Op == wire.OpPokeBatch) {
-			c.unknownOp(req)
-			return
-		}
-		if c.version < 3 {
-			switch req.Op {
-			case wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont,
-				wire.OpHistSave, wire.OpHistLoad, wire.OpHistStat, wire.OpHistTimelines,
-				wire.OpStateExport:
-				c.unknownOp(req)
-				return
-			}
-		}
-		fs := c.co.session(req.Session)
-		if fs == nil {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeNoSession, "no session %d", req.Session)}))
-			return
-		}
-		if werr := fs.enqueue(c.ctx, req, func(resp *wire.Response) {
-			c.send(wire.Resp(resp))
-		}); werr != nil {
-			c.send(wire.Resp(&wire.Response{ID: req.ID, Err: werr}))
-		}
+		return c.drain(req)
 	}
+	fs := c.co.session(req.Session)
+	if fs == nil {
+		return &wire.Response{ID: req.ID,
+			Err: wire.Errf(wire.CodeNoSession, "no session %d", req.Session)}
+	}
+	if werr := fs.enqueue(c.Context(), req, c.Reply); werr != nil {
+		return &wire.Response{ID: req.ID, Err: werr}
+	}
+	return nil
 }
 
-func (c *fconn) unknownOp(req *wire.Request) {
-	c.send(wire.Resp(&wire.Response{ID: req.ID,
-		Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-}
+// Closed implements front.Handler; a fleet connection holds nothing
+// beyond what the front end releases.
+func (c *fconn) Closed() {}
 
 // shed answers an attach with the typed overload refusal: CodeOverloaded
 // plus a retry-after hint in milliseconds in Value. Fast refusal, never
@@ -300,9 +84,7 @@ func (c *fconn) attach(req *wire.Request, blob []string) *wire.Response {
 			d.unreserve()
 			continue
 		}
-		fwd := copyReq(req)
-		fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-		r2, err := cli.CallCtx(c.ctx, fwd)
+		r2, err := cli.CallCtx(c.Context(), backendReq(req, req.Session))
 		if err != nil {
 			d.unreserve()
 			if isConnFailure(err) {
@@ -359,7 +141,7 @@ func (c *fconn) attach(req *wire.Request, blob []string) *wire.Response {
 		d.addSession(fs, rsid)
 		c.co.wg.Add(1)
 		go fs.loop()
-		c.subscribe(fs.id)
+		c.Subscribe(fs.id)
 
 		c.co.ctr.admissions.Inc()
 		c.co.cfg.Logf("zfleet: session %d placed on %s (daemon session %d)", fs.id, d.addr, rsid)
@@ -397,7 +179,7 @@ func (c *fconn) drain(req *wire.Request) *wire.Response {
 	for _, fs := range sessions {
 		wg.Add(1)
 		fs := fs
-		werr := fs.enqueue(c.ctx, &wire.Request{Op: opMigrate}, func(r *wire.Response) {
+		werr := fs.enqueue(c.Context(), &wire.Request{Op: opMigrate}, func(r *wire.Response) {
 			if r.Err != nil {
 				results <- "session not migrated: " + r.Err.Msg
 			} else {

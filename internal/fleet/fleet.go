@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"zoomie/internal/front"
 	"zoomie/internal/obs"
 	"zoomie/internal/wire"
 )
@@ -124,12 +125,12 @@ type Coordinator struct {
 
 	daemons []*daemon
 
+	// front accepts and serves the client connections.
+	front *front.Front
+
 	mu       sync.Mutex
-	ln       net.Listener
 	sessions map[uint64]*fsession // by fleet session id
-	conns    map[*fconn]struct{}
 	nextSID  uint64
-	nextCID  uint64
 	closed   bool
 
 	// Admission token bucket (guarded by tbMu, not mu: the attach path
@@ -154,7 +155,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
 		sessions: make(map[uint64]*fsession),
-		conns:    make(map[*fconn]struct{}),
 		tokens:   float64(cfg.AttachBurst),
 		tbFilled: time.Now(),
 		quit:     make(chan struct{}),
@@ -174,6 +174,12 @@ func New(cfg Config) (*Coordinator, error) {
 		journalReplays: co.reg.Counter("zfleet.journal_replays"),
 		drains:         co.reg.Counter("zfleet.drains"),
 	}
+	co.front = front.New(front.Config{
+		Name:     "zfleet",
+		Logf:     cfg.Logf,
+		Registry: co.reg,
+		Connect:  func(fc *front.Conn) front.Handler { return &fconn{Conn: fc, co: co} },
+	})
 	for i, addr := range cfg.Daemons {
 		d := newDaemon(co, i, addr)
 		co.daemons = append(co.daemons, d)
@@ -187,36 +193,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (co *Coordinator) Obs() *obs.Registry { return co.reg }
 
 // Serve accepts client connections until Shutdown.
-func (co *Coordinator) Serve(ln net.Listener) error {
-	co.mu.Lock()
-	if co.closed {
-		co.mu.Unlock()
-		return fmt.Errorf("fleet: coordinator is shut down")
-	}
-	co.ln = ln
-	co.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if co.isClosed() {
-				return nil
-			}
-			return err
-		}
-		c := newFconn(co, nc)
-		co.mu.Lock()
-		if co.closed {
-			co.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		co.conns[c] = struct{}{}
-		co.mu.Unlock()
-		co.wg.Add(2)
-		go c.readLoop()
-		go c.writeLoop()
-	}
-}
+func (co *Coordinator) Serve(ln net.Listener) error { return co.front.Serve(ln) }
 
 // Shutdown stops accepting, notifies clients, tears down every session
 // actor and daemon link, and waits for the goroutines to drain.
@@ -227,11 +204,6 @@ func (co *Coordinator) Shutdown() {
 		return
 	}
 	co.closed = true
-	ln := co.ln
-	conns := make([]*fconn, 0, len(co.conns))
-	for c := range co.conns {
-		conns = append(conns, c)
-	}
 	sessions := make([]*fsession, 0, len(co.sessions))
 	for _, fs := range co.sessions {
 		sessions = append(sessions, fs)
@@ -239,19 +211,15 @@ func (co *Coordinator) Shutdown() {
 	co.mu.Unlock()
 
 	close(co.quit)
-	if ln != nil {
-		ln.Close()
-	}
-	co.broadcast(&wire.Event{Kind: wire.EvtShutdown, Detail: "fleet coordinator shutting down"})
+	co.front.Close()
+	co.front.Broadcast(&wire.Event{Kind: wire.EvtShutdown, Detail: "fleet coordinator shutting down"})
 	for _, fs := range sessions {
 		fs.stop()
 	}
 	for _, d := range co.daemons {
 		d.closeClient(nil)
 	}
-	for _, c := range conns {
-		c.markDead()
-	}
+	co.front.Hangup()
 	co.wg.Wait()
 }
 
@@ -276,27 +244,6 @@ func (co *Coordinator) dropSession(fs *fsession) {
 	}
 	co.mu.Unlock()
 	fs.home().removeSession(fs)
-}
-
-// broadcast fans an event out to every subscribed client connection,
-// best-effort, exactly like a daemon does.
-func (co *Coordinator) broadcast(e *wire.Event) {
-	m := wire.Evt(e)
-	co.mu.Lock()
-	conns := make([]*fconn, 0, len(co.conns))
-	for c := range co.conns {
-		conns = append(conns, c)
-	}
-	co.mu.Unlock()
-	for _, c := range conns {
-		if !c.wants(e.Session) {
-			continue
-		}
-		select {
-		case c.out <- m:
-		default:
-		}
-	}
 }
 
 // admit is the fleet-wide token bucket. It returns the milliseconds to

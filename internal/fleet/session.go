@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"zoomie/internal/client"
+	"zoomie/internal/front"
 	"zoomie/internal/wire"
 )
 
@@ -21,10 +22,6 @@ const (
 // daemon-side actor; overflow answers CodeBusy.
 const fsQueueDepth = 64
 
-// fsReplayDepth is the (client, seq) dedupe ring depth for front-client
-// reconnect replays.
-const fsReplayDepth = 16
-
 // maxFailoverAttempts bounds how many placement rounds a failover tries
 // before the session is declared lost.
 const maxFailoverAttempts = 40
@@ -34,11 +31,6 @@ type fsreq struct {
 	ctx   context.Context
 	req   *wire.Request
 	reply func(*wire.Response)
-}
-
-type replayEnt struct {
-	client, seq uint64
-	resp        *wire.Response
 }
 
 // fsession is one fleet-level session: a stable identity clients hold
@@ -64,9 +56,9 @@ type fsession struct {
 	suppressed bool // drop daemon events during journal replay
 	stopped    bool
 
-	replayMu sync.Mutex
-	replays  [fsReplayDepth]replayEnt
-	replayN  int
+	// replay answers a front client's (client, seq) replays after a
+	// reconnect from cache instead of forwarding twice. Actor-owned.
+	replay front.Replay
 }
 
 func newFsession(co *Coordinator, id uint64, design string, home *daemon, remoteSID, gen uint64, checkpoint []string) *fsession {
@@ -186,7 +178,7 @@ func (fs *fsession) handle(r *fsreq) {
 		return
 	}
 
-	if resp := fs.replayHit(req); resp != nil {
+	if resp := fs.replay.Get(req); resp != nil {
 		r.reply(resp)
 		return
 	}
@@ -195,21 +187,20 @@ func (fs *fsession) handle(r *fsreq) {
 	if req.Op == wire.OpDetach {
 		// Best-effort forward (the daemon frees its board), then the
 		// fleet session is gone either way.
-		resp := fs.forwardOnce(r.ctx, req)
-		if resp == nil || resp.Err != nil {
-			resp = &wire.Response{ID: req.ID, Session: fs.id}
+		if _, cli, rsid, _ := fs.homeLink(); cli != nil {
+			cli.CallCtx(r.ctx, backendReq(req, rsid))
 		}
 		fs.stop()
 		fs.co.dropSession(fs)
-		r.reply(resp)
+		r.reply(&wire.Response{ID: req.ID, Session: fs.id})
 		return
 	}
 
 	resp := fs.forward(r.ctx, req)
-	fs.replayStore(req, resp)
+	fs.replay.Put(req, resp)
 	if resp.Err == nil && mutatingOp(req.Op) {
 		fs.mu.Lock()
-		fs.journal = append(fs.journal, copyReq(req))
+		fs.journal = append(fs.journal, backendReq(req, 0))
 		n := len(fs.journal)
 		fs.mu.Unlock()
 		if n >= fs.co.cfg.CheckpointEvery {
@@ -232,10 +223,7 @@ func (fs *fsession) forward(ctx context.Context, req *wire.Request) *wire.Respon
 			}
 			continue
 		}
-		fwd := copyReq(req)
-		fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-		fwd.Session = rsid
-		resp, err := cli.CallCtx(ctx, fwd)
+		resp, err := cli.CallCtx(ctx, backendReq(req, rsid))
 		if err != nil && isConnFailure(err) {
 			if ctx.Err() != nil {
 				// The *front* connection died mid-command, not the daemon.
@@ -265,27 +253,6 @@ func (fs *fsession) forward(ctx context.Context, req *wire.Request) *wire.Respon
 		}
 		return &out
 	}
-}
-
-// forwardOnce sends without failover (detach teardown).
-func (fs *fsession) forwardOnce(ctx context.Context, req *wire.Request) *wire.Response {
-	_, cli, rsid, _ := fs.homeLink()
-	if cli == nil {
-		return nil
-	}
-	fwd := copyReq(req)
-	fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-	fwd.Session = rsid
-	resp, err := cli.CallCtx(ctx, fwd)
-	if resp == nil && err != nil {
-		return nil
-	}
-	out := *resp
-	out.ID = req.ID
-	if out.Session != 0 {
-		out.Session = fs.id
-	}
-	return &out
 }
 
 // failover rebuilds the session on a healthy daemon: import the last
@@ -336,10 +303,7 @@ func (fs *fsession) failover() *wire.Error {
 		rsid := resp.Session
 		replayOK := true
 		for _, j := range journal {
-			fwd := copyReq(j)
-			fwd.ID, fwd.Client, fwd.Seq = 0, 0, 0
-			fwd.Session = rsid
-			if _, jerr := cli.CallCtx(ctx, fwd); jerr != nil && isConnFailure(jerr) {
+			if _, jerr := cli.CallCtx(ctx, backendReq(j, rsid)); jerr != nil && isConnFailure(jerr) {
 				target.reportFailure(gen, jerr)
 				replayOK = false
 				break
@@ -363,7 +327,7 @@ func (fs *fsession) failover() *wire.Error {
 		fs.co.ctr.failoverNanos.Add(uint64(time.Since(start)))
 		fs.co.cfg.Logf("zfleet: session %d failed over %s -> %s (%d journal replays, %v)",
 			fs.id, old.addr, target.addr, len(journal), time.Since(start).Round(time.Millisecond))
-		fs.co.broadcast(&wire.Event{
+		fs.co.front.Broadcast(&wire.Event{
 			Kind:    wire.EvtMigrated,
 			Session: fs.id,
 			Detail:  fmt.Sprintf("failed over from %s to %s", old.addr, target.addr),
@@ -437,7 +401,7 @@ func (fs *fsession) migrate(req *wire.Request) *wire.Response {
 
 	fs.co.ctr.drains.Inc()
 	fs.co.cfg.Logf("zfleet: session %d drained %s -> %s", fs.id, oldD.addr, target.addr)
-	fs.co.broadcast(&wire.Event{
+	fs.co.front.Broadcast(&wire.Event{
 		Kind:    wire.EvtMigrated,
 		Session: fs.id,
 		Detail:  fmt.Sprintf("drained from %s to %s", oldD.addr, target.addr),
@@ -468,41 +432,11 @@ func (fs *fsession) refreshCheckpoint(ctx context.Context) {
 // detach event and the id stops resolving.
 func (fs *fsession) poison(werr *wire.Error) {
 	fs.co.cfg.Logf("zfleet: session %d poisoned: %s", fs.id, werr.Msg)
-	fs.co.broadcast(&wire.Event{
+	fs.co.front.Broadcast(&wire.Event{
 		Kind: wire.EvtDetached, Session: fs.id, Detail: werr.Msg,
 	})
 	fs.stop()
 	fs.co.dropSession(fs)
-}
-
-// replayHit answers a front-client (client, seq) replay from the ring,
-// so a command whose response was lost when the *front* connection
-// dropped is answered from cache instead of executing twice.
-func (fs *fsession) replayHit(req *wire.Request) *wire.Response {
-	if req.Client == 0 || req.Seq == 0 {
-		return nil
-	}
-	fs.replayMu.Lock()
-	defer fs.replayMu.Unlock()
-	for i := range fs.replays {
-		e := &fs.replays[i]
-		if e.client == req.Client && e.seq == req.Seq && e.resp != nil {
-			out := *e.resp
-			out.ID = req.ID
-			return &out
-		}
-	}
-	return nil
-}
-
-func (fs *fsession) replayStore(req *wire.Request, resp *wire.Response) {
-	if req.Client == 0 || req.Seq == 0 {
-		return
-	}
-	fs.replayMu.Lock()
-	fs.replays[fs.replayN%fsReplayDepth] = replayEnt{client: req.Client, seq: req.Seq, resp: resp}
-	fs.replayN++
-	fs.replayMu.Unlock()
 }
 
 // mutatingOp reports whether an op changes daemon-side session state
@@ -529,8 +463,12 @@ func isConnFailure(err error) bool {
 	return true
 }
 
-// copyReq shallow-copies a request (slices are never mutated downstream).
-func copyReq(r *wire.Request) *wire.Request {
+// backendReq re-addresses a front client's request to daemon-side
+// session rsid: a shallow copy (slices are never mutated downstream)
+// with the front connection's id and replay identity cleared, which the
+// coordinator's own backend client assigns afresh.
+func backendReq(r *wire.Request, rsid uint64) *wire.Request {
 	c := *r
+	c.ID, c.Client, c.Seq, c.Session = 0, 0, 0, rsid
 	return &c
 }

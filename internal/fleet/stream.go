@@ -1,18 +1,15 @@
 package fleet
 
 import (
-	"sync"
-	"time"
-
 	"zoomie/internal/client"
-	"zoomie/internal/obs"
+	"zoomie/internal/front"
 	"zoomie/internal/wire"
 )
 
-// Fleet streams: "counters" streams are served from the coordinator's
-// own observability registry — fleet-level counters (admissions, sheds,
-// heartbeat misses, quarantines, failovers, failover latency) flow down
-// the same credit-gated PR 6 streaming path a daemon's counters do.
+// Fleet streams: "counters" streams are served by the front end from the
+// coordinator's own observability registry, so fleet-level counters
+// (admissions, sheds, heartbeat misses, quarantines, failovers, failover
+// latency) flow down the same credit-gated path a daemon's counters do.
 // "ila" and "history" streams are forwarded: the coordinator opens a
 // matching stream on the session's current home daemon and pumps frames
 // through, re-stamped with the fleet stream id and session id. A
@@ -20,254 +17,49 @@ import (
 // half-consumed capture window); the client reopens it and the fresh
 // stream follows the session's new home.
 
-const (
-	fstreamCredits  = 32
-	fstreamPending  = 64
-	fstreamInterval = 50 * time.Millisecond
-)
-
-// fstream is one open push channel on one fleet connection.
-type fstream struct {
-	id   uint64
-	kind string
-	c    *fconn
-	sid  uint64         // fleet session id (forwarded kinds)
-	back *client.Stream // backend stream (forwarded kinds)
-
-	interval time.Duration
-	quit     chan struct{}
-	once     sync.Once
-
-	mu      sync.Mutex
-	credits int
-	pending []*wire.Event
-	seq     uint64
-	dropped uint64
-}
-
-func (st *fstream) stop() {
-	st.once.Do(func() {
-		close(st.quit)
-		if st.back != nil {
-			go st.back.Close() // round trip; never on the read loop
-		}
-	})
-}
-
-func (c *fconn) handleStream(req *wire.Request) *wire.Response {
-	resp := &wire.Response{ID: req.ID}
-	switch req.Op {
-	case wire.OpStreamOpen:
-		st, werr := c.openStream(req)
-		if werr != nil {
-			resp.Err = werr
-			return resp
-		}
-		resp.Stream = st.id
-		resp.Session = req.Session
-	case wire.OpStreamCredit:
-		st := c.stream(req.Stream)
-		if st == nil {
-			resp.Err = wire.Errf(wire.CodeNoStream, "no stream %d on this connection", req.Stream)
-			return resp
-		}
-		st.addCredits(req.N)
-		resp.Stream = st.id
-	case wire.OpStreamClose:
-		st := c.takeStream(req.Stream)
-		if st == nil {
-			resp.Err = wire.Errf(wire.CodeNoStream, "no stream %d on this connection", req.Stream)
-			return resp
-		}
-		st.stop()
-		resp.Stream = st.id
-	}
-	return resp
-}
-
-func (c *fconn) openStream(req *wire.Request) (*fstream, *wire.Error) {
-	st := &fstream{
-		kind:     req.Name,
-		c:        c,
-		interval: time.Duration(req.Value) * time.Millisecond,
-		quit:     make(chan struct{}),
-		credits:  req.N,
-	}
-	if st.interval <= 0 {
-		st.interval = fstreamInterval
-	}
-	if st.credits <= 0 {
-		st.credits = fstreamCredits
-	}
-	switch req.Name {
-	case wire.StreamCounters:
-		// Fleet-wide counters; no session needed.
-	case wire.StreamILA, wire.StreamHistory:
-		fs := c.co.session(req.Session)
-		if fs == nil {
-			return nil, wire.Errf(wire.CodeNoSession, "no session %d", req.Session)
-		}
-		_, cli, rsid, _ := fs.homeLink()
-		if cli == nil {
-			return nil, wire.Errf(wire.CodeBoardFailed,
-				"session %d is failing over; retry the stream open", fs.id)
-		}
-		back, err := cli.OpenStream(req.Name, rsid, req.N, int(req.Value))
-		if err != nil {
-			if werr, ok := err.(*wire.Error); ok {
-				return nil, werr
-			}
-			return nil, wire.Errf(wire.CodeOp, "stream open on %s: %v", fs.home().addr, err)
-		}
-		st.sid = fs.id
-		st.back = back
-	default:
+// OpenStream opens the backend stream and returns the pump forwarding it.
+func (c *fconn) OpenStream(st *front.Stream, req *wire.Request) (func(), *wire.Error) {
+	if req.Name != wire.StreamILA && req.Name != wire.StreamHistory {
 		return nil, wire.Errf(wire.CodeBadRequest,
 			"unknown stream kind %q (want %q, %q or %q)",
 			req.Name, wire.StreamCounters, wire.StreamILA, wire.StreamHistory)
 	}
-
-	c.streamMu.Lock()
-	c.nextStream++
-	st.id = c.nextStream
-	c.streams[st.id] = st
-	c.streamMu.Unlock()
-
-	c.co.wg.Add(1)
-	if st.back != nil {
-		go st.pump()
-	} else {
-		go st.run(c.co.reg)
+	fs := c.co.session(req.Session)
+	if fs == nil {
+		return nil, wire.Errf(wire.CodeNoSession, "no session %d", req.Session)
 	}
-	return st, nil
-}
-
-func (c *fconn) stream(id uint64) *fstream {
-	c.streamMu.Lock()
-	defer c.streamMu.Unlock()
-	return c.streams[id]
-}
-
-func (c *fconn) takeStream(id uint64) *fstream {
-	c.streamMu.Lock()
-	defer c.streamMu.Unlock()
-	st := c.streams[id]
-	delete(c.streams, id)
-	return st
-}
-
-func (c *fconn) closeStreams() {
-	c.streamMu.Lock()
-	streams := make([]*fstream, 0, len(c.streams))
-	for _, st := range c.streams {
-		streams = append(streams, st)
+	_, cli, rsid, _ := fs.homeLink()
+	if cli == nil {
+		return nil, wire.Errf(wire.CodeBoardFailed,
+			"session %d is failing over; retry the stream open", fs.id)
 	}
-	c.streams = make(map[uint64]*fstream)
-	c.streamMu.Unlock()
-	for _, st := range streams {
-		st.stop()
-	}
-}
-
-// run produces fleet counter frames on the flush cadence.
-func (st *fstream) run(reg *obs.Registry) {
-	defer st.c.co.wg.Done()
-	t := time.NewTicker(st.interval)
-	defer t.Stop()
-	reader := reg.NewReader()
-	var names []string
-	var deltas []uint64
-	for {
-		select {
-		case <-st.quit:
-			return
-		case <-st.c.dead:
-			return
-		case <-t.C:
-			var total uint64
-			names, deltas, total = reader.Deltas(names[:0], deltas[:0])
-			if total == 0 {
-				st.drain()
-				continue
-			}
-			st.offer(&wire.Event{
-				Kind:   wire.EvtStream,
-				Stream: st.id,
-				Count:  total,
-				Names:  append([]string(nil), names...),
-				Deltas: append([]uint64(nil), deltas...),
-			})
+	back, err := cli.OpenStream(req.Name, rsid, req.N, int(req.Value))
+	if err != nil {
+		if werr, ok := err.(*wire.Error); ok {
+			return nil, werr
 		}
+		return nil, wire.Errf(wire.CodeOp, "stream open on %s: %v", fs.home().addr, err)
 	}
+	st.AtStop(func() { go back.Close() }) // a round trip; never on the read loop
+	return func() { pump(st, back, fs.id) }, nil
 }
 
 // pump forwards backend stream frames, re-stamped with the fleet's ids.
-// It ends when the backend stream dies (daemon failure, failover) — the
+// It ends when the backend stream dies (daemon failure, failover): the
 // client sees the stream go quiet and reopens.
-func (st *fstream) pump() {
-	defer st.c.co.wg.Done()
+func pump(st *front.Stream, back *client.Stream, sid uint64) {
 	for {
 		select {
-		case <-st.quit:
-			return
-		case <-st.c.dead:
+		case <-st.Done():
 			return
 		default:
 		}
-		ev, ok := st.back.Recv()
+		ev, ok := back.Recv()
 		if !ok {
 			return
 		}
-		ev.Stream = st.id
-		ev.Session = st.sid
-		st.offer(&ev)
-	}
-}
-
-func (st *fstream) offer(ev *wire.Event) {
-	st.mu.Lock()
-	st.seq++
-	ev.Seq = st.seq
-	if len(st.pending) >= fstreamPending {
-		copy(st.pending, st.pending[1:])
-		st.pending = st.pending[:len(st.pending)-1]
-		st.dropped++
-	}
-	st.pending = append(st.pending, ev)
-	st.drainLocked()
-	st.mu.Unlock()
-}
-
-func (st *fstream) addCredits(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	st.mu.Lock()
-	st.credits += n
-	st.drainLocked()
-	st.mu.Unlock()
-}
-
-func (st *fstream) drain() {
-	st.mu.Lock()
-	st.drainLocked()
-	st.mu.Unlock()
-}
-
-func (st *fstream) drainLocked() {
-	for st.credits > 0 && len(st.pending) > 0 {
-		ev := st.pending[0]
-		ev.Dropped = st.dropped
-		select {
-		case st.c.out <- wire.Evt(ev):
-			st.pending[0] = nil
-			st.pending = st.pending[1:]
-			st.credits--
-		default:
-			return
-		}
-	}
-	if len(st.pending) == 0 {
-		st.pending = nil
+		ev.Stream = st.ID()
+		ev.Session = sid
+		st.Offer(&ev)
 	}
 }

@@ -433,6 +433,14 @@ func Decode(blob []byte) (*Engine, error) {
 	e.timelines = nodes[:nLive]
 	e.cur = nodes[curIdx]
 	e.cursorTL = nodes[cursorIdx]
+	// Memory depths come from the current timeline's first keyframe;
+	// validate holds every other keyframe to them, and Transplant checks
+	// them against the adopting simulator.
+	if len(e.cur.segs) > 0 && len(e.cur.segs[0].kf.mems) == len(e.mems) {
+		for i, m := range e.cur.segs[0].kf.mems {
+			e.mems[i].Depth = len(m)
+		}
+	}
 
 	nSaves := r.count(2)
 	for i := 0; i < nSaves && r.err == nil; i++ {
@@ -445,5 +453,116 @@ func Decode(blob []byte) (*Engine, error) {
 	if r.off != len(r.b) {
 		return nil, fmt.Errorf("history: decode: %d trailing bytes", len(r.b)-r.off)
 	}
+	if err := e.validate(nodes); err != nil {
+		return nil, err
+	}
 	return e, nil
+}
+
+// validate checks the invariants reconstruction, recording and Encode
+// rely on, so an accepted blob can neither panic nor loop later and
+// re-encodes to a blob Decode accepts: every keyframe matches the slot
+// layout and the memory depths Decode read, every delta record decodes
+// inside its buffer and addresses a real slot or word, segments ascend,
+// the timeline graph is acyclic, every node is live or an ancestor of a
+// live timeline, and the current timeline is live with a segment to
+// append to.
+func (e *Engine) validate(nodes []*timeline) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("history: decode: "+format, args...)
+	}
+	if len(e.cur.segs) == 0 {
+		return bad("current timeline has no keyframe")
+	}
+	// Walk every live lineage to its root: a node seen twice on one walk
+	// is a cycle reconstruction would follow forever. rooted marks nodes
+	// already shown to end at a root.
+	const onWalk, rooted = 1, 2
+	state := make(map[*timeline]int, len(nodes))
+	for _, t := range e.timelines {
+		var walk []*timeline
+		for ; t != nil && state[t] != rooted; t = t.parent {
+			if state[t] == onWalk {
+				return bad("timeline lineage is cyclic")
+			}
+			state[t] = onWalk
+			walk = append(walk, t)
+		}
+		for _, w := range walk {
+			state[w] = rooted
+		}
+	}
+	if len(state) != len(nodes) {
+		return bad("%d timelines are neither live nor ancestors of live ones", len(nodes)-len(state))
+	}
+	if !containsTimeline(e.timelines, e.cur) {
+		return bad("current timeline is not live")
+	}
+	checkKF := func(kf *denseState) error {
+		if len(kf.regs) != len(e.slots) || len(kf.mems) != len(e.mems) {
+			return bad("keyframe at %d has %d slots and %d memories, layout has %d and %d",
+				kf.pos, len(kf.regs), len(kf.mems), len(e.slots), len(e.mems))
+		}
+		for i, m := range kf.mems {
+			if len(m) != e.mems[i].Depth {
+				return bad("keyframe at %d: memory %d has %d words, want %d", kf.pos, i, len(m), e.mems[i].Depth)
+			}
+		}
+		return nil
+	}
+	if e.cursor > e.seq {
+		return bad("cursor %d beyond the last position %d", e.cursor, e.seq)
+	}
+	if e.pendingKF != nil {
+		if err := checkKF(e.pendingKF); err != nil {
+			return err
+		}
+	}
+	for i, t := range nodes {
+		for j, seg := range t.segs {
+			if j > 0 && seg.startPos < t.segs[j-1].startPos {
+				return bad("timeline %d: segments out of order", i)
+			}
+			// Recording assigns positions past seq, so nothing recorded
+			// may already sit there.
+			if seg.startPos > seg.endPos || seg.endPos > e.seq {
+				return bad("timeline %d segment %d: positions %d..%d outside 0..%d",
+					i, j, seg.startPos, seg.endPos, e.seq)
+			}
+			if err := checkKF(&seg.kf); err != nil {
+				return err
+			}
+			if err := e.checkDeltas(seg.buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func containsTimeline(ts []*timeline, t *timeline) bool {
+	for _, x := range ts {
+		if x == t {
+			return true
+		}
+	}
+	return false
+}
+
+// checkDeltas walks a segment's delta buffer the way walkSegment does,
+// failing on a truncated record, an unknown record kind or an address
+// outside the layout.
+func (e *Engine) checkDeltas(buf []byte) error {
+	r := &dec{b: buf}
+	for r.off < len(r.b) && r.err == nil {
+		switch kind := r.byte(); kind {
+		case recTick:
+			r.i()
+		case recHost:
+		default:
+			r.fail("unknown record kind %d at %d", kind, r.off-1)
+		}
+		e.applyDeltas(r, nil, nil)
+	}
+	return r.err
 }

@@ -230,6 +230,16 @@ func (e *Engine) Transplant(s *sim.Simulator) error {
 			return fmt.Errorf("history: transplant onto a different design (slot %d is %q, had %q)", i, sl.Name, e.slots[i].Name)
 		}
 	}
+	mems := s.StateMems()
+	if len(mems) != len(e.mems) {
+		return fmt.Errorf("history: transplant onto a different design (%d memories, had %d)", len(mems), len(e.mems))
+	}
+	for i, m := range mems {
+		if m.Name != e.mems[i].Name || m.Depth != e.mems[i].Depth {
+			return fmt.Errorf("history: transplant onto a different design (memory %d is %q[%d], had %q[%d])",
+				i, m.Name, m.Depth, e.mems[i].Name, e.mems[i].Depth)
+		}
+	}
 	if e.sim != nil {
 		e.sim.SetCommitHook(nil)
 	}
@@ -512,25 +522,22 @@ func (e *Engine) walkSegment(seg *segment, p uint64) (denseState, error) {
 		ds.mems[i] = append([]uint64(nil), m...)
 	}
 	cur := seg.startPos
-	buf := seg.buf
-	off := 0
-	for off < len(buf) {
-		kind := buf[off]
-		off++
-		if kind == recTick {
-			d, n := binary.Varint(buf[off:])
-			off += n
+	r := &dec{b: seg.buf}
+	for r.off < len(r.b) && r.err == nil {
+		if r.byte() == recTick {
+			d := r.i()
 			if cur+1 > p {
 				return ds, nil
 			}
 			cur++
 			ds.cycle = uint64(int64(ds.cycle) + d)
-			off = applyDeltas(buf, off, ds.regs, ds.mems)
-		} else {
-			// Host write at position cur <= p: part of the state the
-			// design held while sitting there.
-			off = applyDeltas(buf, off, ds.regs, ds.mems)
 		}
+		// A host record at position cur <= p is part of the state the
+		// design held while sitting there.
+		e.applyDeltas(r, ds.regs, ds.mems)
+	}
+	if r.err != nil {
+		return ds, r.err
 	}
 	if cur < p {
 		return ds, fmt.Errorf("history: internal: position %d beyond segment end %d", p, cur)
@@ -538,46 +545,31 @@ func (e *Engine) walkSegment(seg *segment, p uint64) (denseState, error) {
 	return ds, nil
 }
 
-// applyDeltas decodes one record body onto dense state.
-func applyDeltas(buf []byte, off int, regs []uint64, mems [][]uint64) int {
-	nr, n := binary.Uvarint(buf[off:])
-	off += n
-	for i := uint64(0); i < nr; i++ {
-		slot, n := binary.Uvarint(buf[off:])
-		off += n
-		val, n := binary.Uvarint(buf[off:])
-		off += n
-		regs[slot] = val
+// applyDeltas decodes one record body, the changed slots and memory
+// words, applying it to regs and mems, or only walking past it when they
+// are nil. An address outside the layout fails the reader: only a
+// corrupt imported blob holds one, and Decode rejects those up front.
+func (e *Engine) applyDeltas(r *dec, regs []uint64, mems [][]uint64) {
+	for i, n := uint64(0), r.u(); i < n && r.err == nil; i++ {
+		slot, val := r.u(), r.u()
+		switch {
+		case r.err != nil:
+		case slot >= uint64(len(e.slots)):
+			r.fail("slot %d out of range", slot)
+		case regs != nil:
+			regs[slot] = val
+		}
 	}
-	nm, n := binary.Uvarint(buf[off:])
-	off += n
-	for i := uint64(0); i < nm; i++ {
-		id, n := binary.Uvarint(buf[off:])
-		off += n
-		addr, n := binary.Uvarint(buf[off:])
-		off += n
-		val, n := binary.Uvarint(buf[off:])
-		off += n
-		mems[id][addr] = val
+	for i, n := uint64(0), r.u(); i < n && r.err == nil; i++ {
+		id, addr, val := r.u(), r.u(), r.u()
+		switch {
+		case r.err != nil:
+		case id >= uint64(len(e.mems)) || addr >= uint64(e.mems[id].Depth):
+			r.fail("memory %d word %d out of range", id, addr)
+		case mems != nil:
+			mems[id][addr] = val
+		}
 	}
-	return off
-}
-
-// skipDeltas advances past one record body without applying it.
-func skipDeltas(buf []byte, off int) int {
-	nr, n := binary.Uvarint(buf[off:])
-	off += n
-	for i := uint64(0); i < nr*2; i++ {
-		_, n := binary.Uvarint(buf[off:])
-		off += n
-	}
-	nm, n := binary.Uvarint(buf[off:])
-	off += n
-	for i := uint64(0); i < nm*3; i++ {
-		_, n := binary.Uvarint(buf[off:])
-		off += n
-	}
-	return off
 }
 
 // toState converts dense state to the name-keyed public form.
@@ -646,7 +638,7 @@ func (e *Engine) posForCycle(c uint64) (uint64, error) {
 			if c < seg.minCycle || c > seg.maxCycle {
 				continue
 			}
-			if p, ok := segPosForCycle(seg, c, upper); ok {
+			if p, ok := e.segPosForCycle(seg, c, upper); ok {
 				return p, nil
 			}
 		}
@@ -667,7 +659,7 @@ func (e *Engine) posForCycle(c uint64) (uint64, error) {
 
 // segPosForCycle finds the last position <= upper in the segment where
 // the cycle tag transitioned to c (the moment cycle c completed).
-func segPosForCycle(seg *segment, c, upper uint64) (uint64, bool) {
+func (e *Engine) segPosForCycle(seg *segment, c, upper uint64) (uint64, bool) {
 	best := uint64(0)
 	found := false
 	prev := seg.kf.cycle
@@ -676,14 +668,10 @@ func segPosForCycle(seg *segment, c, upper uint64) (uint64, bool) {
 	}
 	cur := seg.startPos
 	cyc := seg.kf.cycle
-	buf := seg.buf
-	off := 0
-	for off < len(buf) {
-		kind := buf[off]
-		off++
-		if kind == recTick {
-			d, n := binary.Varint(buf[off:])
-			off += n
+	r := &dec{b: seg.buf}
+	for r.off < len(r.b) && r.err == nil {
+		if r.byte() == recTick {
+			d := r.i()
 			cur++
 			if cur > upper {
 				break
@@ -694,7 +682,7 @@ func segPosForCycle(seg *segment, c, upper uint64) (uint64, bool) {
 				best, found = cur, true
 			}
 		}
-		off = skipDeltas(buf, off)
+		e.applyDeltas(r, nil, nil)
 	}
 	return best, found
 }

@@ -51,7 +51,7 @@ func (s *Server) handleCompile(c *conn, req *wire.Request) *wire.Response {
 			return resp
 		}
 		if req.Mode == "check" {
-			cold, warm, err := farm.CheckBitIdentity(c.ctx, spec, req.N)
+			cold, warm, err := farm.CheckBitIdentity(c.Context(), spec, req.N)
 			if err != nil {
 				resp.Err = compileErr(err)
 				return resp

@@ -8,10 +8,35 @@ import (
 	"testing"
 	"time"
 
+	"zoomie/internal/client"
 	"zoomie/internal/farm"
 	"zoomie/internal/vti"
 	"zoomie/internal/wire"
 )
+
+// serveFarm starts srv on a loopback listener and returns its address;
+// the server shuts down with the test.
+func serveFarm(t *testing.T, srv *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(srv.Shutdown)
+	return ln.Addr().String()
+}
+
+// dialFarm opens one client connection to srv.
+func dialFarm(t *testing.T, addr string) *client.Client {
+	t.Helper()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
 // TestDisconnectCancelsHeldCompile is the disconnect half of end-to-end
 // cancellation: a client that dies mid-place releases its farm
@@ -30,14 +55,11 @@ func TestDisconnectCancelsHeldCompile(t *testing.T) {
 		}
 	}})
 
-	p1, p2 := net.Pipe()
-	defer p2.Close()
-	c := newConn(srv, p1)
-	c.version = wire.Version
+	c := dialFarm(t, serveFarm(t, srv))
 
-	resp := srv.handleCompile(c, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
+	resp, err := c.Call(&wire.Request{Op: wire.OpCompileSubmit, Design: "counter"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	job, ok := srv.farm.Job(resp.Value)
 	if !ok {
@@ -45,8 +67,15 @@ func TestDisconnectCancelsHeldCompile(t *testing.T) {
 	}
 	<-placed
 
-	// The connection dies mid-place; markDead releases its job refs.
-	c.markDead()
+	// The connection dies mid-place; the server's side of it releases its
+	// job refs. Open the gate only once that release has landed.
+	c.Close()
+	for deadline := time.Now().Add(10 * time.Second); job.Status().Refs > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("disconnect did not release the job reference")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -76,27 +105,24 @@ func TestCancelOpRequiresReference(t *testing.T) {
 	openGate := func() { gateOnce.Do(func() { close(gate) }) }
 	defer openGate()
 
-	p1, _ := net.Pipe()
-	holder := newConn(srv, p1)
-	holder.version = wire.Version
-	p3, _ := net.Pipe()
-	bystander := newConn(srv, p3)
-	bystander.version = wire.Version
+	addr := serveFarm(t, srv)
+	holder := dialFarm(t, addr)
+	bystander := dialFarm(t, addr)
 
-	resp := srv.handleCompile(holder, &wire.Request{ID: 1, Op: wire.OpCompileSubmit, Design: "counter"})
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
+	resp, err := holder.Call(&wire.Request{Op: wire.OpCompileSubmit, Design: "counter"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	<-started
 
-	deny := srv.handleCompile(bystander, &wire.Request{ID: 2, Op: wire.OpCompileCancel, Value: resp.Value})
-	if deny.Err == nil || deny.Err.Code != wire.CodeForbidden {
-		t.Fatalf("bystander cancel = %+v, want %s", deny.Err, wire.CodeForbidden)
+	_, deny := bystander.Call(&wire.Request{Op: wire.OpCompileCancel, Value: resp.Value})
+	if !wire.IsCode(deny, wire.CodeForbidden) {
+		t.Fatalf("bystander cancel = %+v, want %s", deny, wire.CodeForbidden)
 	}
 
-	allow := srv.handleCompile(holder, &wire.Request{ID: 3, Op: wire.OpCompileCancel, Value: resp.Value})
-	if allow.Err != nil {
-		t.Fatalf("holder cancel: %v", allow.Err)
+	_, allow := holder.Call(&wire.Request{Op: wire.OpCompileCancel, Value: resp.Value})
+	if allow != nil {
+		t.Fatalf("holder cancel: %v", allow)
 	}
 	openGate() // release the held phase; the next gate observes the cancel
 	job, _ := srv.farm.Job(resp.Value)

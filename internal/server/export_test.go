@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"zoomie/internal/client"
@@ -156,5 +158,69 @@ func TestStateExportImport(t *testing.T) {
 	// Corrupt blobs are refused, not panicked on.
 	if _, err := cb.AttachWithState(context.Background(), "counter", []byte("garbage")); !wire.IsCode(err, wire.CodeBadRequest) {
 		t.Fatalf("garbage import error = %v, want CodeBadRequest", err)
+	}
+}
+
+// TestImportCorruptHistory feeds OpStateImport blobs whose history part
+// has one byte replaced (200 seeded positions and values). Whatever the
+// daemon accepts must survive seeks, history status, stepping (which
+// records onto the imported engine) and detach, and the daemon must keep
+// serving: a peer-supplied blob can never panic it.
+func TestImportCorruptHistory(t *testing.T) {
+	_, addr := startServer(t, server.Config{PoolSize: 2})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	src, err := c.Attach("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Step(150); err != nil {
+		t.Fatal(err)
+	}
+	blob, cyc, err := src.StateExport(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &env); err != nil {
+		t.Fatal(err)
+	}
+	var hist []byte
+	if err := json.Unmarshal(env["history"], &hist); err != nil || len(hist) == 0 {
+		t.Fatalf("export carries no history (%v)", err)
+	}
+
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		bad := append([]byte(nil), hist...)
+		bad[r.Intn(len(bad))] = byte(r.Intn(256))
+		if env["history"], err = json.Marshal(bad); err != nil {
+			t.Fatal(err)
+		}
+		mutated, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := c.AttachWithState(context.Background(), "counter", mutated)
+		if err != nil {
+			continue // refused is fine; only a crash is not
+		}
+		dst.HistSeek(cyc / 2)
+		dst.HistSeek(1)
+		dst.HistoryStatusLines()
+		dst.Step(3)
+		dst.Peek("cnt")
+		if err := dst.Detach(); err != nil {
+			t.Fatalf("mutant %d: detach: %v", i, err)
+		}
+	}
+	if _, err := c.Attach("counter"); err != nil {
+		t.Fatalf("daemon stopped serving: %v", err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,8 @@ import (
 	"zoomie"
 	"zoomie/internal/farm"
 	"zoomie/internal/faults"
+	"zoomie/internal/front"
+	"zoomie/internal/history"
 	"zoomie/internal/obs"
 	"zoomie/internal/wire"
 )
@@ -88,20 +89,20 @@ type Server struct {
 	// the same design serve each other's cache.
 	farm *farm.Farm
 
+	// front accepts and serves the client connections.
+	front *front.Front
+
 	mu       sync.Mutex
-	ln       net.Listener
 	sessions map[uint64]*session
-	conns    map[*conn]struct{}
 	nextSID  uint64
 	closed   bool
 
-	nextClient uint64 // atomic: server-assigned client identities
-	seedSalt   int64  // atomic: distinct chaos seeds per leased board
+	seedSalt int64 // atomic: distinct chaos seeds per leased board
 
 	probeQuit chan struct{}
 	probeOnce sync.Once
 
-	wg sync.WaitGroup // session actors + connection handlers + prober
+	wg sync.WaitGroup // session actors + prober
 }
 
 // New creates a server; call Serve to accept connections.
@@ -128,9 +129,15 @@ func New(cfg Config) *Server {
 			Logf:      cfg.Logf,
 		}),
 		sessions:  make(map[uint64]*session),
-		conns:     make(map[*conn]struct{}),
 		probeQuit: make(chan struct{}),
 	}
+	s.front = front.New(front.Config{
+		Name:     "zoomied",
+		Ceiling:  cfg.ProtocolCeiling,
+		Logf:     cfg.Logf,
+		Registry: s.reg,
+		Connect:  func(fc *front.Conn) front.Handler { return &conn{Conn: fc, srv: s} },
+	})
 	s.ctr = hotCounters{
 		commands: s.reg.Counter("zoomied.commands"),
 		peeks:    s.reg.Counter("zoomied.peeks"),
@@ -168,7 +175,7 @@ func (s *Server) probeLoop() {
 			s.mu.Unlock()
 			for _, sess := range sessions {
 				// Best effort: a busy queue skips this round's probe.
-				sess.enqueue(context.Background(), wire.Version,
+				sess.enqueue(context.Background(),
 					&wire.Request{Op: opProbe}, func(*wire.Response) {})
 			}
 		}
@@ -230,37 +237,7 @@ func (s *Server) newSessionFor(design string) (*zoomie.Session, *zoomie.ILAMeta,
 
 // Serve accepts connections until Shutdown (returns nil) or a listener
 // error.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("server: already shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if s.isClosed() {
-				return nil
-			}
-			return err
-		}
-		nc := newConn(s, c)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			return nil
-		}
-		s.conns[nc] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(2)
-		go nc.readLoop()
-		go nc.writeLoop()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.front.Serve(ln) }
 
 // Shutdown stops the server gracefully: no new connections or attaches,
 // every session actor pauses its design and releases its board, and all
@@ -272,28 +249,19 @@ func (s *Server) Shutdown() {
 		return
 	}
 	s.closed = true
-	ln := s.ln
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
 
-	if ln != nil {
-		ln.Close()
-	}
+	s.front.Close()
 	s.probeOnce.Do(func() { close(s.probeQuit) })
-	s.broadcast(&wire.Event{Kind: wire.EvtShutdown, Detail: "server shutting down"})
+	s.front.Broadcast(&wire.Event{Kind: wire.EvtShutdown, Detail: "server shutting down"})
 	for _, sess := range sessions {
 		sess.signalQuit()
 	}
-	for _, c := range conns {
-		c.markDead()
-	}
+	s.front.Hangup()
 	s.wg.Wait()
 	s.cfg.Logf("zoomied: shut down (%d sessions closed)", len(sessions))
 }
@@ -333,8 +301,11 @@ func (s *Server) allowed(design string) bool {
 }
 
 // attach builds, compiles and starts a catalog design on a pooled board,
-// then spawns its actor. Runs on the calling connection's read loop: a
-// long compile stalls only that client.
+// then spawns its actor. OpStateImport is attach-with-state: the blob in
+// req.Signals is decoded first, its history engine transplanted and its
+// snapshot restored (full scope, so breakpoints and pause state land
+// armed) before the session registers. Runs on the calling connection's
+// read loop: a long compile stalls only that client.
 func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	resp := &wire.Response{ID: req.ID}
 	if s.isClosed() {
@@ -350,6 +321,18 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 		resp.Err = wire.Errf(wire.CodeForbidden, "design %q not served (allowlist: %v)", name, s.cfg.Allow)
 		return resp
 	}
+	var blob *exportBlob
+	var hist *history.Engine
+	if req.Op == wire.OpStateImport {
+		var err error
+		if blob, err = decodeExport(req.Signals); err == nil && len(blob.History) > 0 {
+			hist, err = history.Decode(blob.History)
+		}
+		if err != nil {
+			resp.Err = wire.Errf(wire.CodeBadRequest, "import: %v", err)
+			return resp
+		}
+	}
 	zs, ilaMeta, inj, lease, err := s.newSessionFor(name)
 	if err != nil {
 		code := wire.CodeOp
@@ -358,6 +341,25 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 		}
 		resp.Err = wire.Errf(code, "%s", err)
 		return resp
+	}
+	verb := "attached"
+	if blob != nil {
+		// Adopt before restore, so the restore lands in history as host
+		// writes — identical to the in-daemon migration ordering. A layout
+		// mismatch forfeits history but not the import.
+		if hist != nil {
+			if aerr := zs.AdoptHistory(hist); aerr != nil {
+				s.cfg.Logf("zoomied: import: history not transplanted: %v", aerr)
+			}
+		}
+		if rerr := zs.Restore(blob.Snapshot); rerr != nil {
+			zs.Close()
+			s.retire(zs, inj)
+			resp.Err = wire.Errf(wire.CodeOp, "import: snapshot restore: %v", rerr)
+			return resp
+		}
+		verb = "imported"
+		resp.Cycles = blob.Snapshot.Cycle
 	}
 
 	s.mu.Lock()
@@ -379,9 +381,9 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	atomic.AddInt64(&s.stats.sessionsTotal, 1)
 	s.wg.Add(1)
 	go sess.loop()
-	c.subscribe(sess.id)
-	s.cfg.Logf("zoomied: session %d attached %s on board lease %d (%s)",
-		sess.id, name, lease.ID, lease.Device)
+	c.Subscribe(sess.id)
+	s.cfg.Logf("zoomied: session %d %s %s on board lease %d (%s)",
+		sess.id, verb, name, lease.ID, lease.Device)
 
 	resp.Session = sess.id
 	resp.Design = name
@@ -393,337 +395,42 @@ func (s *Server) attach(c *conn, req *wire.Request) *wire.Response {
 	return resp
 }
 
-// broadcast pushes an event to every subscribed connection. Delivery is
-// best-effort: a connection with a full outbox drops the event (counted)
-// rather than stalling the emitting actor.
-func (s *Server) broadcast(e *wire.Event) {
-	atomic.AddInt64(&s.stats.events, 1)
-	m := wire.Evt(e)
-	s.mu.Lock()
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		if !c.wants(e.Session) {
-			continue
-		}
-		select {
-		case c.out <- m:
-		default:
-			atomic.AddInt64(&s.stats.eventsDropped, 1)
-		}
-	}
-}
-
-// conn is one client connection: a read loop dispatching requests and a
-// write loop owning the socket's send side, joined by the out channel.
+// conn is the daemon's side of one client connection: the front end's
+// connection plus the compile-farm references it holds (job id -> refs),
+// released when the connection dies.
 type conn struct {
+	*front.Conn
 	srv *Server
-	c   net.Conn
-	out chan *wire.Message
-	wmu sync.Mutex // serializes socket writes (writeLoop vs handshake)
 
-	// enc/dec speak the negotiated codec: JSON until the hello exchange
-	// completes, binary afterwards on v3 connections. enc is guarded by
-	// wmu; dec is owned by the read loop.
-	enc *wire.Encoder
-	dec *wire.Decoder
-
-	// version is the negotiated protocol version, set during handshake
-	// before any request is dispatched. Batch ops are refused on v1.
-	version int
-
-	// ctx is cancelled when the connection dies, so a session actor
-	// mid-way through a batched command for this client stops promptly
-	// instead of finishing work nobody will read.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	dead chan struct{}
-	once sync.Once
-
-	subMu  sync.Mutex
-	subs   map[uint64]bool
-	subAll bool
-
-	// streams are this connection's open push channels (v3); ids are
-	// per-connection, assigned at OpStreamOpen.
-	streamMu   sync.Mutex
-	streams    map[uint64]*stream
-	nextStream uint64
-
-	// jobs counts the compile-farm references this connection holds
-	// (job id -> refs), released when the connection dies.
 	jobMu sync.Mutex
 	jobs  map[uint64]int
 }
 
-func newConn(s *Server, c net.Conn) *conn {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &conn{
-		srv: s,
-		c:   c,
-		out: make(chan *wire.Message, 256),
-		// The hello exchange is always JSON; handshake() upgrades both
-		// directions once a v3 connection is negotiated.
-		enc:     wire.NewEncoder(c, 1),
-		dec:     wire.NewDecoder(c, 1),
-		ctx:     ctx,
-		cancel:  cancel,
-		dead:    make(chan struct{}),
-		subs:    make(map[uint64]bool),
-		streams: make(map[uint64]*stream),
-	}
-}
-
-// markDead closes the connection exactly once, cancels its context (so
-// in-flight commands it issued are abandoned), and releases both loops.
-func (c *conn) markDead() {
-	c.once.Do(func() {
-		c.cancel()
-		close(c.dead)
-		c.c.Close()
-		c.closeStreams()
-		c.releaseJobs()
-	})
-}
-
-// send queues a message for the write loop, giving up if the connection
-// died — responses to a vanished client are dropped, its sessions stay
-// alive until the idle timeout reclaims them.
-func (c *conn) send(m *wire.Message) {
-	select {
-	case c.out <- m:
-	case <-c.dead:
-	}
-}
-
-func (c *conn) subscribe(sid uint64) {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	if sid == 0 {
-		c.subAll = true
-		return
-	}
-	c.subs[sid] = true
-}
-
-func (c *conn) wants(sid uint64) bool {
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	return c.subAll || sid == 0 || c.subs[sid]
-}
-
-// writeLoop owns the socket's send side. It coalesces writev-style:
-// after taking one message it drains whatever else is already queued
-// (bounded by the encoder buffer) and flushes the whole burst with a
-// single Write — a batch of responses or an event storm costs one
-// syscall instead of one per frame.
-func (c *conn) writeLoop() {
-	defer c.srv.wg.Done()
-	for {
-		select {
-		case <-c.dead:
-			return
-		case m := <-c.out:
-			if err := c.writeBurst(m); err != nil {
-				c.markDead()
-				return
-			}
-		}
-	}
-}
-
-// writeBurst queues m plus any backlog already in the out channel, then
-// flushes once.
-func (c *conn) writeBurst(m *wire.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	err := c.enc.Queue(m)
-	for err == nil {
-		select {
-		case next := <-c.out:
-			err = c.enc.Queue(next)
-		default:
-			n, ferr := c.enc.Flush()
-			atomic.AddInt64(&c.srv.stats.bytesOut, int64(n))
-			return ferr
-		}
-	}
-	return err
-}
-
-func (c *conn) readLoop() {
-	defer c.srv.wg.Done()
-	defer func() {
-		c.markDead()
-		c.srv.mu.Lock()
-		delete(c.srv.conns, c)
-		c.srv.mu.Unlock()
-	}()
-
-	if !c.handshake() {
-		return
-	}
-	for {
-		m, n, err := c.dec.Next()
-		atomic.AddInt64(&c.srv.stats.bytesIn, int64(n))
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				c.srv.cfg.Logf("zoomied: read error: %v", err)
-			}
-			return
-		}
-		if m.T != wire.TReq {
-			c.send(wire.Resp(&wire.Response{
-				Err: wire.Errf(wire.CodeBadRequest, "clients send requests, got %q", m.T)}))
-			continue
-		}
-		c.dispatch(m.Req)
-	}
-}
-
-// writeNow writes one frame to the socket under the write mutex.
-func (c *conn) writeNow(m *wire.Message) error {
-	c.wmu.Lock()
-	var n int
-	err := c.enc.Queue(m)
-	if err == nil {
-		n, err = c.enc.Flush()
-	}
-	c.wmu.Unlock()
-	atomic.AddInt64(&c.srv.stats.bytesOut, int64(n))
-	return err
-}
-
-// handshake enforces the version exchange as the first frame. Replies
-// are written synchronously so a rejected client reads the reason before
-// the connection closes.
-func (c *conn) handshake() bool {
-	m, n, err := wire.ReadMessage(c.c)
-	atomic.AddInt64(&c.srv.stats.bytesIn, int64(n))
-	if err != nil {
-		return false
-	}
-	if m.T != wire.TReq || m.Req.Op != wire.OpHello {
-		c.writeNow(wire.Resp(&wire.Response{
-			Err: wire.Errf(wire.CodeBadRequest, "first frame must be %q", wire.OpHello)}))
-		return false
-	}
-	// Downgrade negotiation: both sides speak min(client, server) as long
-	// as the client is at least MinVersion. The negotiated version comes
-	// back in the hello response; a v1 client sees "1" exactly as a v1
-	// server would have answered.
-	if m.Req.Version < wire.MinVersion {
-		c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID,
-			Err: wire.Errf(wire.CodeVersion, "protocol version %d, server speaks %d..%d",
-				m.Req.Version, wire.MinVersion, wire.Version)}))
-		return false
-	}
-	c.version = wire.Version
-	if p := c.srv.cfg.ProtocolCeiling; p > 0 && p < c.version {
-		c.version = p
-	}
-	if m.Req.Version < c.version {
-		c.version = m.Req.Version
-	}
-	// A hello carrying a client id is a reconnect: the client keeps its
-	// identity so replayed in-flight requests dedupe against the actors'
-	// caches. A fresh client gets the next id.
-	cid := m.Req.Client
-	if cid != 0 {
-		atomic.AddInt64(&c.srv.stats.reconnects, 1)
-		c.srv.cfg.Logf("zoomied: client %d reconnected", cid)
-	} else {
-		cid = atomic.AddUint64(&c.srv.nextClient, 1)
-	}
-	c.writeNow(wire.Resp(&wire.Response{ID: m.Req.ID, Version: c.version, Client: cid}))
-	// The hello reply is the last JSON frame on a v3 connection: every
-	// frame after it — both directions — uses the binary codec.
-	if c.version >= 3 {
-		c.wmu.Lock()
-		c.enc.SetVersion(c.version)
-		c.wmu.Unlock()
-		c.dec.SetVersion(c.version)
-	}
-	return true
-}
-
-// dispatch routes one request: connection-level ops run inline, session
-// ops are enqueued on the owning actor and answered asynchronously.
-func (c *conn) dispatch(req *wire.Request) {
+// Handle serves the daemon's connection-level ops inline on the read
+// loop and enqueues session ops on the owning actor, which answers
+// asynchronously.
+func (c *conn) Handle(req *wire.Request) *wire.Response {
 	switch req.Op {
-	case wire.OpHello:
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Version: c.version}))
-	case wire.OpAttach:
+	case wire.OpAttach, wire.OpStateImport:
 		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.srv.attach(c, req)))
-	case wire.OpStateImport:
-		// Attach-with-state (v3+): the cross-daemon failover landing path.
-		if c.version < 3 {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
-		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.srv.importAttach(c, req)))
+		return c.srv.attach(c, req)
 	case wire.OpStatus:
 		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Stats: c.srv.Stats()}))
-	case wire.OpSubscribe:
-		c.subscribe(req.Session)
-		c.send(wire.Resp(&wire.Response{ID: req.ID, Session: req.Session}))
-	case wire.OpStreamOpen, wire.OpStreamCredit, wire.OpStreamClose:
-		// Stream ops arrived in v3; older connections get the same answer
-		// an older server would give.
-		if c.version < 3 {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
-		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.handleStream(req)))
+		return &wire.Response{ID: req.ID, Stats: c.srv.Stats()}
 	case wire.OpCompileSubmit, wire.OpCompileStatus, wire.OpCompileCancel:
-		// Compile-farm ops arrived in v3 alongside the stream machinery
-		// that carries their progress.
-		if c.version < 3 {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
 		atomic.AddInt64(&c.srv.stats.commandsServed, 1)
-		c.send(wire.Resp(c.srv.handleCompile(c, req)))
-	default:
-		// Batch ops arrived in v2; a v1-negotiated connection gets the
-		// same answer a v1 server would give.
-		if c.version < 2 && (req.Op == wire.OpPeekBatch || req.Op == wire.OpPokeBatch) {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-			return
-		}
-		// History (time-travel) ops arrived in v3.
-		if c.version < 3 {
-			switch req.Op {
-			case wire.OpHistSeek, wire.OpHistRewind, wire.OpHistRevCont,
-				wire.OpHistSave, wire.OpHistLoad, wire.OpHistStat, wire.OpHistTimelines,
-				wire.OpStateExport:
-				c.send(wire.Resp(&wire.Response{ID: req.ID,
-					Err: wire.Errf(wire.CodeUnknownOp, "unknown op %q", req.Op)}))
-				return
-			}
-		}
-		sess := c.srv.session(req.Session)
-		if sess == nil {
-			c.send(wire.Resp(&wire.Response{ID: req.ID,
-				Err: wire.Errf(wire.CodeNoSession, "no session %d", req.Session)}))
-			return
-		}
-		werr := sess.enqueue(c.ctx, c.version, req,
-			func(resp *wire.Response) { c.send(wire.Resp(resp)) })
-		if werr != nil {
-			c.send(wire.Resp(&wire.Response{ID: req.ID, Err: werr}))
-		}
+		return c.srv.handleCompile(c, req)
 	}
+	sess := c.srv.session(req.Session)
+	if sess == nil {
+		return &wire.Response{ID: req.ID,
+			Err: wire.Errf(wire.CodeNoSession, "no session %d", req.Session)}
+	}
+	if werr := sess.enqueue(c.Context(), req, c.Reply); werr != nil {
+		return &wire.Response{ID: req.ID, Err: werr}
+	}
+	return nil
 }
+
+// Closed releases the connection's compile-farm references.
+func (c *conn) Closed() { c.releaseJobs() }

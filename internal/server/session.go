@@ -11,6 +11,7 @@ import (
 	"zoomie"
 	"zoomie/internal/dbg"
 	"zoomie/internal/faults"
+	"zoomie/internal/front"
 	"zoomie/internal/jtag"
 	"zoomie/internal/wire"
 )
@@ -76,49 +77,17 @@ type session struct {
 	lastPaused bool
 	lastSnap   *zoomie.DebugSnapshot
 	lastGood   *zoomie.DebugSnapshot // migration source; full scope
-	replay     map[uint64]*replayRing
-}
-
-// replayRing remembers a client's most recent request results so a
-// request replayed after a reconnect is answered from cache instead of
-// executing twice — the idempotency half of auto-reconnect.
-type replayRing struct {
-	seqs  [replayDepth]uint64
-	resps [replayDepth]*wire.Response
-	n     int
-}
-
-// replayDepth bounds the per-client replay cache. Clients replay only
-// requests that were in flight when the connection died, so a handful of
-// slots suffices.
-const replayDepth = 16
-
-func (r *replayRing) get(seq uint64) *wire.Response {
-	for i, s := range r.seqs {
-		if s == seq {
-			return r.resps[i]
-		}
-	}
-	return nil
-}
-
-func (r *replayRing) put(seq uint64, resp *wire.Response) {
-	r.seqs[r.n] = seq
-	r.resps[r.n] = resp
-	r.n = (r.n + 1) % replayDepth
+	replay     front.Replay
 }
 
 // task is one queued command with its completion callback. ctx is the
 // issuing connection's context: it is cancelled when that client's
 // connection dies, so the actor abandons the command mid-batch instead
-// of finishing cable work nobody will read. ver is the connection's
-// negotiated protocol version, used to downgrade typed error codes for
-// v1 clients.
+// of finishing cable work nobody will read.
 type task struct {
 	req   *wire.Request
 	reply func(*wire.Response)
 	ctx   context.Context
-	ver   int
 }
 
 // queueDepth bounds per-session pipelining; a full queue pushes back
@@ -133,13 +102,12 @@ func newSession(id uint64, design string, zs *zoomie.Session, srv *Server) *sess
 		srv:    srv,
 		reqs:   make(chan task, queueDepth),
 		quit:   make(chan struct{}),
-		replay: make(map[uint64]*replayRing),
 	}
 }
 
 // enqueue hands a command to the actor. It never blocks: a torn-down
 // session reports CodeNoSession, a full queue CodeBusy.
-func (s *session) enqueue(ctx context.Context, ver int, req *wire.Request, reply func(*wire.Response)) *wire.Error {
+func (s *session) enqueue(ctx context.Context, req *wire.Request, reply func(*wire.Response)) *wire.Error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -149,7 +117,7 @@ func (s *session) enqueue(ctx context.Context, ver int, req *wire.Request, reply
 		return wire.Errf(wire.CodeNoSession, "no session %d", s.id)
 	}
 	select {
-	case s.reqs <- task{req: req, reply: reply, ctx: ctx, ver: ver}:
+	case s.reqs <- task{req: req, reply: reply, ctx: ctx}:
 		return nil
 	default:
 		return wire.Errf(wire.CodeBusy, "session %d: command queue full (%d pending)", s.id, queueDepth)
@@ -192,7 +160,7 @@ func (s *session) loop() {
 				}
 				continue
 			}
-			if cached := s.replayHit(t.req); cached != nil {
+			if cached := s.replay.Get(t.req); cached != nil {
 				atomic.AddInt64(&s.srv.stats.replayHits, 1)
 				t.reply(cached)
 				continue
@@ -202,16 +170,22 @@ func (s *session) loop() {
 			s.srv.stats.observeLatency(time.Since(start))
 			atomic.AddInt64(&s.srv.stats.commandsServed, 1)
 			s.srv.ctr.commands.Inc()
-			s.replayStore(t.req, resp)
-			t.reply(resp)
+			s.replay.Put(t.req, resp)
 			if detach {
+				// Tear down before acknowledging, so a detach that
+				// returned has released the board and left the counters.
 				s.teardown("detached by client")
+				t.reply(resp)
 				return
 			}
-			s.maybeEmitPaused(t.req.Op)
+			// Refresh the migration source before acknowledging: a client
+			// that acts on the reply (or a board that fails right after
+			// it) must find the acknowledged state in the snapshot.
 			if resp.Err == nil {
 				s.maybeCaptureGood(t.req.Op)
 			}
+			t.reply(resp)
+			s.maybeEmitPaused(t.req.Op)
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -228,30 +202,6 @@ func (s *session) loop() {
 			return
 		}
 	}
-}
-
-// replayHit answers a replayed request from the cache, or nil.
-func (s *session) replayHit(req *wire.Request) *wire.Response {
-	if req.Client == 0 || req.Seq == 0 {
-		return nil
-	}
-	if ring := s.replay[req.Client]; ring != nil {
-		return ring.get(req.Seq)
-	}
-	return nil
-}
-
-// replayStore remembers a sequenced request's response for replay dedupe.
-func (s *session) replayStore(req *wire.Request, resp *wire.Response) {
-	if req.Client == 0 || req.Seq == 0 {
-		return
-	}
-	ring := s.replay[req.Client]
-	if ring == nil {
-		ring = &replayRing{}
-		s.replay[req.Client] = ring
-	}
-	ring.put(req.Seq, resp)
 }
 
 // captureGood snapshots the full design state — user design and Debug
@@ -300,7 +250,7 @@ func (s *session) teardown(reason string) {
 	s.srv.dropSession(s)
 	s.zs.Close()
 	s.srv.retire(s.zs, s.injector.Load())
-	s.srv.broadcast(&wire.Event{Kind: wire.EvtDetached, Session: s.id, Detail: reason})
+	s.srv.front.Broadcast(&wire.Event{Kind: wire.EvtDetached, Session: s.id, Detail: reason})
 }
 
 // maybeEmitPaused watches for the running->paused transition after
@@ -330,7 +280,7 @@ func (s *session) maybeEmitPaused(op string) {
 	// trigger-driven pauses become events.
 	if paused && !was && op != wire.OpPause {
 		cyc, _ := s.zs.Cycles()
-		s.srv.broadcast(&wire.Event{Kind: wire.EvtPaused, Session: s.id, Op: op, Cycles: cyc})
+		s.srv.front.Broadcast(&wire.Event{Kind: wire.EvtPaused, Session: s.id, Op: op, Cycles: cyc})
 	}
 }
 
@@ -377,7 +327,7 @@ func (s *session) migrate(cause string) *wire.Error {
 		s.lease.Quarantine()
 	}
 	srv.cfg.Logf("zoomied: session %d: board lease %d quarantined: %s", s.id, leaseID, cause)
-	srv.broadcast(&wire.Event{Kind: wire.EvtQuarantined, Session: s.id,
+	srv.front.Broadcast(&wire.Event{Kind: wire.EvtQuarantined, Session: s.id,
 		Detail: fmt.Sprintf("board lease %d: %s", leaseID, cause)})
 
 	old := s.zs
@@ -415,15 +365,15 @@ func (s *session) migrate(cause string) *wire.Error {
 	s.injector.Store(ninj)
 	atomic.AddInt64(&srv.stats.migrations, 1)
 	srv.cfg.Logf("zoomied: session %d migrated to board lease %d", s.id, nlease.ID)
-	srv.broadcast(&wire.Event{Kind: wire.EvtMigrated, Session: s.id,
+	srv.front.Broadcast(&wire.Event{Kind: wire.EvtMigrated, Session: s.id,
 		Detail: fmt.Sprintf("restored on board lease %d", nlease.ID)})
 	return nil
 }
 
 // execute runs one command. Board failures come back as CodeBoardFailed
 // so handle can migrate and retry; everything else is classified by
-// wire.CodeFor (typed debugger codes on v2+ connections, plain CodeOp on
-// v1). A cancelled issuing connection aborts cable work mid-batch and
+// wire.CodeFor (the front end rewrites typed codes for v1 connections).
+// A cancelled issuing connection aborts cable work mid-batch and
 // reports CodeCancelled — never a board failure, so it cannot trigger a
 // spurious migration.
 func (s *session) execute(t task) (*wire.Response, bool) {
@@ -439,11 +389,7 @@ func (s *session) execute(t task) (*wire.Response, bool) {
 		case isBoardFailure(err):
 			resp.Err = wire.Errf(wire.CodeBoardFailed, "%s", err)
 		default:
-			code := wire.CodeFor(err)
-			if t.ver != 0 && t.ver < 2 && code != wire.CodeOp {
-				code = wire.CodeOp // v1 clients never saw typed codes
-			}
-			resp.Err = wire.Errf(code, "%s", err)
+			resp.Err = wire.Errf(wire.CodeFor(err), "%s", err)
 		}
 		return resp, false
 	}

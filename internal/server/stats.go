@@ -13,15 +13,12 @@ import (
 
 // stats holds the server-wide counters behind the status wire command
 // and the expvar-style dump. All fields are touched with atomics; the
-// pool keeps its own counters under its lock.
+// pool keeps its own counters under its lock, and the front end counts
+// connection traffic, events and streams.
 type stats struct {
 	sessionsActive int64
 	sessionsTotal  int64
 	commandsServed int64
-	bytesIn        int64
-	bytesOut       int64
-	events         int64
-	eventsDropped  int64
 	idleReaped     int64
 	interleaved    int64
 
@@ -30,7 +27,6 @@ type stats struct {
 	probeFailures  int64
 	migrations     int64
 	migrationsFail int64
-	reconnects     int64
 	replayHits     int64
 
 	// Transport counters of retired sessions, accumulated at teardown and
@@ -41,12 +37,7 @@ type stats struct {
 	jtagRewrites   int64
 	faultsInjected int64
 
-	// Streaming observability counters (v3).
-	streamsOpened int64
-	streamFrames  int64
-	streamEvents  int64
-	streamDropped int64
-	ilaWindows    int64
+	ilaWindows int64 // ILA capture windows uploaded for streams
 
 	latency [len(latencyBoundsUS)]int64
 }
@@ -80,15 +71,15 @@ func (s *Server) retire(zs *zoomie.Session, inj *faults.Injector) {
 
 // Stats snapshots the server counters into the wire representation.
 func (s *Server) Stats() *wire.Stats {
-	st := &s.stats
+	st, fs := &s.stats, &s.front.Stats
 	out := &wire.Stats{
 		SessionsActive: atomic.LoadInt64(&st.sessionsActive),
 		SessionsTotal:  atomic.LoadInt64(&st.sessionsTotal),
-		CommandsServed: atomic.LoadInt64(&st.commandsServed),
-		BytesIn:        atomic.LoadInt64(&st.bytesIn),
-		BytesOut:       atomic.LoadInt64(&st.bytesOut),
-		Events:         atomic.LoadInt64(&st.events),
-		EventsDropped:  atomic.LoadInt64(&st.eventsDropped),
+		CommandsServed: atomic.LoadInt64(&st.commandsServed) + fs.StreamOps.Load(),
+		BytesIn:        fs.BytesIn.Load(),
+		BytesOut:       fs.BytesOut.Load(),
+		Events:         fs.Events.Load(),
+		EventsDropped:  fs.EventsDropped.Load(),
 		IdleReaped:     atomic.LoadInt64(&st.idleReaped),
 		Interleaved:    atomic.LoadInt64(&st.interleaved),
 		PoolCapacity:   int64(s.pool.Capacity()),
@@ -100,17 +91,17 @@ func (s *Server) Stats() *wire.Stats {
 		ProbeFailures:   atomic.LoadInt64(&st.probeFailures),
 		Migrations:      atomic.LoadInt64(&st.migrations),
 		MigrationsFail:  atomic.LoadInt64(&st.migrationsFail),
-		Reconnects:      atomic.LoadInt64(&st.reconnects),
+		Reconnects:      fs.Reconnects.Load(),
 		ReplayHits:      atomic.LoadInt64(&st.replayHits),
 		JtagRetries:     atomic.LoadInt64(&st.jtagRetries),
 		JtagReReads:     atomic.LoadInt64(&st.jtagReReads),
 		JtagRewrites:    atomic.LoadInt64(&st.jtagRewrites),
 		FaultsInjected:  atomic.LoadInt64(&st.faultsInjected),
 
-		StreamsOpened: atomic.LoadInt64(&st.streamsOpened),
-		StreamFrames:  atomic.LoadInt64(&st.streamFrames),
-		StreamEvents:  atomic.LoadInt64(&st.streamEvents),
-		StreamDropped: atomic.LoadInt64(&st.streamDropped),
+		StreamsOpened: fs.StreamsOpened.Load(),
+		StreamFrames:  fs.StreamFrames.Load(),
+		StreamEvents:  fs.StreamEvents.Load(),
+		StreamDropped: fs.StreamDropped.Load(),
 		IlaWindows:    atomic.LoadInt64(&st.ilaWindows),
 	}
 	_, denied, _ := s.pool.Counters()

@@ -16,9 +16,7 @@
 // reference semantics. The compiled engine (the default) lowers every
 // expression to bytecode with pre-resolved value-array slots at New()
 // time and settles incrementally: only assigns in the dirty fanout cone
-// of actually-changed state are re-evaluated, in levelized order, with
-// optional goroutine sharding of wide levels (see compile.go and
-// dirty.go). The two engines are held bit-identical by the differential
+// of actually-changed state are re-evaluated, in levelized order (see compile.go and dirty.go). The two engines are held bit-identical by the differential
 // tests in diff_test.go.
 //
 // Clock gating is first-class: a domain may be gated by a combinational
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 
 	"zoomie/internal/rtl"
 )
@@ -64,16 +61,12 @@ type Options struct {
 	// engine: every tick re-evaluates every assign (the -simfull escape
 	// hatch for debugging suspected incremental-settling bugs).
 	FullSettle bool
-	// Shards > 1 enables cone-parallel settling: levels with at least
-	// minParallelLevel dirty assigns are evaluated across this many
-	// goroutines. Only meaningful with the compiled engine.
-	Shards int
 }
 
 // DefaultOptions are the options New uses. They are initialised from the
-// environment (ZOOMIE_SIM_ENGINE=interp, ZOOMIE_SIM_FULL=1,
-// ZOOMIE_SIM_SHARDS=n) and may be overridden programmatically, e.g. by
-// cmd/zbench's -simengine/-simfull/-simshards flags.
+// environment (ZOOMIE_SIM_ENGINE=interp, ZOOMIE_SIM_FULL=1) and may be
+// overridden programmatically, e.g. by cmd/zbench's -simengine/-simfull
+// flags.
 var DefaultOptions = optionsFromEnv()
 
 func optionsFromEnv() Options {
@@ -83,9 +76,6 @@ func optionsFromEnv() Options {
 	}
 	if os.Getenv("ZOOMIE_SIM_FULL") == "1" {
 		o.FullSettle = true
-	}
-	if n, err := strconv.Atoi(os.Getenv("ZOOMIE_SIM_SHARDS")); err == nil && n > 1 {
-		o.Shards = n
 	}
 	return o
 }
@@ -129,9 +119,6 @@ type Simulator struct {
 	comp       *compiled
 	dirty      *dirtyState // nil when fullSettle
 	fullSettle bool
-	shards     int
-	stacks     [][]uint64 // per-shard eval stacks
-	changed    [][]int32  // per-shard changed-slot scratch
 	stagedC    []cMemUpdate
 }
 
@@ -222,17 +209,6 @@ func NewWithOptions(f *rtl.Flat, clocks []ClockSpec, opts Options) (*Simulator, 
 		s.fullSettle = opts.FullSettle
 		if !s.fullSettle {
 			s.dirty = newDirtyState(f, s.comp, s.sigIndex, order, level)
-		}
-		s.shards = opts.Shards
-		if s.shards < 1 {
-			s.shards = 1
-		}
-		if s.shards > 1 {
-			s.stacks = make([][]uint64, s.shards)
-			s.changed = make([][]int32, s.shards)
-			for i := range s.stacks {
-				s.stacks[i] = make([]uint64, s.comp.maxStack)
-			}
 		}
 	}
 	s.settle()

@@ -1183,7 +1183,7 @@ func (e *Encoder) Reset(w io.Writer) { e.w = w; e.buf = e.buf[:0] }
 // event bursts) into one syscall.
 func (e *Encoder) Queue(m *Message) error {
 	var err error
-	if e.ver >= 3 {
+	if e.ver >= binaryVersion {
 		e.buf, err = AppendMessage(e.buf, m)
 		return err
 	}
@@ -1292,7 +1292,7 @@ func (d *Decoder) Next() (*Message, int, error) {
 		}
 		return nil, 4, err
 	}
-	if d.ver < 3 {
+	if d.ver < binaryVersion {
 		var m Message
 		if err := json.Unmarshal(payload, &m); err != nil {
 			return nil, 4 + int(n), fmt.Errorf("wire: decode: %w", err)
@@ -1332,7 +1332,7 @@ var msgBufPool = sync.Pool{
 // of WriteMessage, sharing its pooled buffer: one Write, no per-frame
 // allocation in steady state.
 func WriteMessageV(w io.Writer, m *Message, ver int) (int, error) {
-	if ver < 3 {
+	if ver < binaryVersion {
 		return WriteMessage(w, m)
 	}
 	bp := msgBufPool.Get().(*[]byte)
@@ -1351,7 +1351,7 @@ func WriteMessageV(w io.Writer, m *Message, ver int) (int, error) {
 // version-dispatching cousin of ReadMessage. Each call allocates a fresh
 // message; loops that care about allocation use a Decoder.
 func ReadMessageV(r io.Reader, ver int) (*Message, int, error) {
-	if ver < 3 {
+	if ver < binaryVersion {
 		return ReadMessage(r)
 	}
 	var hdr [4]byte

@@ -329,9 +329,10 @@ const (
 	CodeBoardFailed   = "board_failed" // board wedged/unrecoverable and no migration possible
 	CodeNoStream      = "no_stream"    // stream id unknown on this connection (v3+)
 
-	// Typed debugger error codes (v2+). These refine CodeOp: the message
-	// is still the exact server-side error string, but the code lets
-	// errors.Is classify the failure client-side through Error.Unwrap.
+	// Typed debugger error codes (v2+; a v1 connection gets CodeOp, see
+	// ForVersion). These refine CodeOp: the message is still the exact
+	// server-side error string, but the code lets errors.Is classify the
+	// failure client-side through Error.Unwrap.
 	CodeUnknownState  = "unknown_state"  // dberr.ErrUnknownState
 	CodeIsMemory      = "is_memory"      // dberr.ErrIsMemory
 	CodeIsRegister    = "is_register"    // dberr.ErrIsRegister
@@ -339,18 +340,20 @@ const (
 	CodeNotWatched    = "not_watched"    // dberr.ErrNotWatched
 	CodeWidthMismatch = "width_mismatch" // dberr.ErrWidthMismatch
 	CodePartialBatch  = "partial_batch"  // dberr.ErrPartialBatch
-	CodeCancelled     = "cancelled"      // context.Canceled / DeadlineExceeded
+	CodeCancelled     = "cancelled"      // context.Canceled / DeadlineExceeded; every version
 
-	// CodeHistoryHorizon (v3+) refines CodeOp for seeks/rewinds outside
-	// recorded history: dberr.ErrHistoryHorizon.
+	// CodeHistoryHorizon refines CodeOp for seeks/rewinds outside
+	// recorded history: dberr.ErrHistoryHorizon. Only the v3 history
+	// ops produce it.
 	CodeHistoryHorizon = "history_horizon"
 
-	// CodeOverloaded (v3+): admission control shed the request — the
-	// fleet (or a daemon) is at capacity and chose to refuse fast rather
-	// than queue. The response's Value field carries a retry-after hint
-	// in milliseconds; clients with auto-reconnect retry the attach after
-	// a jittered backoff instead of failing. Existing sessions are never
-	// shed — only new admissions. Unwraps to dberr.ErrOverloaded.
+	// CodeOverloaded (every version): admission control shed the
+	// request — the fleet (or a daemon) is at capacity and chose to
+	// refuse fast rather than queue. The response's Value field carries
+	// a retry-after hint in milliseconds; clients with auto-reconnect
+	// retry the attach after a jittered backoff instead of failing.
+	// Existing sessions are never shed — only new admissions. Unwraps to
+	// dberr.ErrOverloaded.
 	CodeOverloaded = "overloaded"
 )
 
